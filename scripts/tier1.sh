@@ -49,7 +49,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   # the fault-injection, campaign and batched-lockstep binaries.  (-R must
   # precede the bare -j or ctest parses it as the job count.)
   ctest --output-on-failure \
-    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|TransientBatch|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession)' -j
+    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|TransientBatch|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|EngineGolden)' -j
   exit 0
 fi
 
@@ -81,6 +81,12 @@ cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-f
 # reproduce the pre-adaptive golden trace byte for byte (hexfloat dump
 # committed in tests/data/transient_fixed_reference.txt).
 ./tests/test_spice_adaptive --gtest_filter='TransientAdaptive.FixedPathMatchesPrePrGoldenTrace'
+
+# Smoke step: the cycle-accurate engines (OscillatorSystem, DualSystem,
+# MagneticSensorSystem) must reproduce their golden envelopes, tick codes
+# and final states byte for byte (hexfloat dump committed in
+# tests/data/engine_golden_trace.txt).
+./tests/test_engine_golden --gtest_filter='EngineGolden.*'
 
 # Smoke step: the batched lockstep engines must be byte-identical to the
 # serial reference — the tolerance campaign (report-level diff across
