@@ -3,10 +3,12 @@
 // substrates are visible.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "common/units.h"
 #include "dac/current_mirror.h"
 #include "numeric/lu.h"
-#include "numeric/ode.h"
+#include "numeric/rk4.h"
 #include "spice/circuit.h"
 #include "spice/dc_solver.h"
 #include "spice/transient_solver.h"
@@ -35,14 +37,14 @@ void BM_LuSolve(benchmark::State& state) {
 BENCHMARK(BM_LuSolve)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_Rk4HarmonicOscillator(benchmark::State& state) {
-  const OdeRhs rhs = [](double, const Vector& x, Vector& d) {
-    d[0] = x[1];
-    d[1] = -1e14 * x[0];
+  auto rhs = [](const std::array<double, 2>& x) {
+    return std::array<double, 2>{x[1], -1e14 * x[0]};
   };
   for (auto _ : state) {
-    const OdeResult r =
-        integrate_rk4(rhs, 0.0, 1e-5, {1.0, 0.0}, {.step = 4e-9});  // 2500 steps
-    benchmark::DoNotOptimize(r.state[0]);
+    std::array<double, 2> x{1.0, 0.0};
+    benchmark::DoNotOptimize(x);
+    for (int i = 0; i < 2500; ++i) rk4_step(x, 4e-9, rhs);
+    benchmark::DoNotOptimize(x[0]);
   }
   state.SetItemsProcessed(state.iterations() * 2500);
 }

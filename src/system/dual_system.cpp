@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "numeric/rk4.h"
+#include "waveform/envelope_tracker.h"
 
 namespace lcosc::system {
 
@@ -96,31 +98,8 @@ DualRunResult DualSystem::run(double duration) {
   result.event_time = supply_loss_time_.value_or(-1.0);
   const bool record = config_.waveform_decimation > 0;
 
-  // Per-system inline envelope trackers.
-  struct EnvTracker {
-    double peak = 0.0;
-    double peak_time = 0.0;
-    bool have = false;
-    bool last_positive = true;
-  };
-  std::array<EnvTracker, 2> env;
-
-  auto track = [&](EnvTracker& e, Trace& out, double t, double vd) {
-    const bool positive = vd >= 0.0;
-    if (positive != e.last_positive) {
-      if (e.have && (out.empty() || e.peak_time > out.end_time())) {
-        out.append(e.peak_time, e.peak);
-      }
-      e.peak = 0.0;
-      e.have = false;
-      e.last_positive = positive;
-    }
-    if (std::abs(vd) >= e.peak) {
-      e.peak = std::abs(vd);
-      e.peak_time = t;
-      e.have = true;
-    }
-  };
+  EnvelopeTracker env1;
+  EnvelopeTracker env2;
 
   bool nvm1 = false;
   bool nvm2 = false;
@@ -145,26 +124,14 @@ DualRunResult DualSystem::run(double duration) {
       LCOSC_REQUIRE(!dead_iv_.empty(), "supply loss scheduled without a dead-chip I-V table");
     }
 
-    // RK4 over the coupled 6-state system.
-    const auto k1 = derivatives(s);
-    std::array<double, 6> mid{};
-    for (std::size_t i = 0; i < 6; ++i) mid[i] = s[i] + 0.5 * dt * k1[i];
-    const auto k2 = derivatives(mid);
-    for (std::size_t i = 0; i < 6; ++i) mid[i] = s[i] + 0.5 * dt * k2[i];
-    const auto k3 = derivatives(mid);
-    std::array<double, 6> end{};
-    for (std::size_t i = 0; i < 6; ++i) end[i] = s[i] + dt * k3[i];
-    const auto k4 = derivatives(end);
-    for (std::size_t i = 0; i < 6; ++i) {
-      s[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
+    rk4_step(s, dt, derivatives);
     t += dt;
 
     detector1_.step(dt, s[0], s[1]);
     if (!system2_dead) detector2_.step(dt, s[3], s[4]);
 
-    track(env[0], result.envelope1, t, s[0] - s[1]);
-    track(env[1], result.envelope2, t, s[3] - s[4]);
+    env1.track(result.envelope1, t, s[0] - s[1]);
+    env2.track(result.envelope2, t, s[3] - s[4]);
 
     if (record && step % static_cast<std::size_t>(config_.waveform_decimation) == 0) {
       result.differential1.append(t, s[0] - s[1]);

@@ -6,6 +6,8 @@
 #include "common/constants.h"
 #include "common/error.h"
 #include "devices/lowpass.h"
+#include "numeric/rk4.h"
+#include "waveform/envelope_tracker.h"
 
 namespace lcosc::system {
 
@@ -64,12 +66,13 @@ MagneticSensorResult MagneticSensorSystem::run(double duration) {
     std::array<double, 5> d{};
     const driver::NodeCurrents drv = driver_.output(x[0], x[1]);
     // Coil terminal voltages.
-    const Vector v_coils = {
+    const std::array<double, 3> v_coils = {
         (x[0] - x[1]) - config_.tank.series_resistance * x[2],
         -(config_.receive_resistance + config_.load_resistance) * x[3],
         -(config_.receive_resistance + config_.load_resistance) * x[4],
     };
-    const Vector di = magnetics_.current_derivatives(v_coils);
+    std::array<double, 3> di{};
+    magnetics_.current_derivatives(v_coils, di);
     d[0] = (drv.into_lc1 - x[2]) / config_.tank.capacitance1;
     d[1] = (drv.into_lc2 + x[2]) / config_.tank.capacitance2;
     d[2] = di[0];
@@ -81,10 +84,7 @@ MagneticSensorResult MagneticSensorSystem::run(double duration) {
   MagneticSensorResult result;
   result.envelope.set_name("envelope");
 
-  double env_peak = 0.0;
-  double env_peak_time = 0.0;
-  bool env_have = false;
-  bool env_last_positive = true;
+  EnvelopeTracker envelope;
 
   bool nvm = false;
   double next_tick = fsm_.config().tick_period;
@@ -98,19 +98,7 @@ MagneticSensorResult MagneticSensorSystem::run(double duration) {
       nvm = true;
     }
 
-    // RK4.
-    const auto k1 = derivatives(s);
-    std::array<double, 5> mid{};
-    for (std::size_t i = 0; i < 5; ++i) mid[i] = s[i] + 0.5 * dt * k1[i];
-    const auto k2 = derivatives(mid);
-    for (std::size_t i = 0; i < 5; ++i) mid[i] = s[i] + 0.5 * dt * k2[i];
-    const auto k3 = derivatives(mid);
-    std::array<double, 5> end{};
-    for (std::size_t i = 0; i < 5; ++i) end[i] = s[i] + dt * k3[i];
-    const auto k4 = derivatives(end);
-    for (std::size_t i = 0; i < 5; ++i) {
-      s[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
+    rk4_step(s, dt, derivatives);
     t += dt;
 
     const double vd = s[0] - s[1];
@@ -123,22 +111,7 @@ MagneticSensorResult MagneticSensorSystem::run(double duration) {
     demod_sin.step(dt, -s[3] * config_.load_resistance, vd);
     demod_cos.step(dt, -s[4] * config_.load_resistance, vd);
 
-    // Envelope tracking.
-    const bool positive = vd >= 0.0;
-    if (positive != env_last_positive) {
-      if (env_have &&
-          (result.envelope.empty() || env_peak_time > result.envelope.end_time())) {
-        result.envelope.append(env_peak_time, env_peak);
-      }
-      env_peak = 0.0;
-      env_have = false;
-      env_last_positive = positive;
-    }
-    if (std::abs(vd) >= env_peak) {
-      env_peak = std::abs(vd);
-      env_peak_time = t;
-      env_have = true;
-    }
+    envelope.track(result.envelope, t, vd);
 
     if (t >= next_tick) {
       fsm_.tick(detector_.window_state());

@@ -6,6 +6,7 @@
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "numeric/rk4.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
 
@@ -74,15 +75,15 @@ void OscillatorSystem::schedule_event(double at_time, ScenarioAction action) {
 
 OscillatorSystem::TankState OscillatorSystem::derivatives(const TankState& s,
                                                           const ActiveTank& t) const {
-  const driver::NodeCurrents drv = driver_.output(s.v1, s.v2);
-  const double il = t.loop_open ? 0.0 : s.il;
+  const driver::NodeCurrents drv = driver_.output(s[kV1], s[kV2]);
+  const double il = t.loop_open ? 0.0 : s[kIl];
 
   // Finite driver speed: the delivered currents lag the ideal cross-coupled
   // response with a single pole at driver_bandwidth.
   const bool slow_driver = config_.driver_bandwidth > 0.0;
   const double w_drv = kTwoPi * config_.driver_bandwidth;
-  const double i1 = slow_driver ? s.i1 : drv.into_lc1;
-  const double i2 = slow_driver ? s.i2 : drv.into_lc2;
+  const double i1 = slow_driver ? s[kI1] : drv.into_lc1;
+  const double i2 = slow_driver ? s[kI2] : drv.into_lc2;
 
   // Soft rail clamps (ESD/junction paths) keep faulted scenarios bounded.
   const double v_rail_hi = config_.vdd - config_.vref_dc;
@@ -94,25 +95,26 @@ OscillatorSystem::TankState OscillatorSystem::derivatives(const TankState& s,
     return 0.0;
   };
 
-  TankState d;
+  TankState d{};
   if (t.pin1_grounded || t.pin1_to_supply) {
-    d.v1 = 0.0;  // pin voltage frozen at the short level
+    d[kV1] = 0.0;  // pin voltage frozen at the short level
   } else {
-    d.v1 = (i1 - il + rail_current(s.v1)) / t.config.capacitance1;
+    d[kV1] = (i1 - il + rail_current(s[kV1])) / t.config.capacitance1;
   }
   if (t.pin2_grounded) {
-    d.v2 = 0.0;
+    d[kV2] = 0.0;
   } else {
-    d.v2 = (i2 + il + rail_current(s.v2)) / t.config.capacitance2;
+    d[kV2] = (i2 + il + rail_current(s[kV2])) / t.config.capacitance2;
   }
   if (t.loop_open) {
-    d.il = 0.0;
+    d[kIl] = 0.0;
   } else {
-    d.il = ((s.v1 - s.v2) - t.config.series_resistance * s.il) / t.config.inductance;
+    d[kIl] = ((s[kV1] - s[kV2]) - t.config.series_resistance * s[kIl]) /
+             t.config.inductance;
   }
   if (slow_driver) {
-    d.i1 = (drv.into_lc1 - s.i1) * w_drv;
-    d.i2 = (drv.into_lc2 - s.i2) * w_drv;
+    d[kI1] = (drv.into_lc1 - s[kI1]) * w_drv;
+    d[kI2] = (drv.into_lc2 - s[kI2]) * w_drv;
   }
   return d;
 }
@@ -148,9 +150,8 @@ OscillatorSystem::RunState OscillatorSystem::begin_run(double duration) {
 
   rs.active.config = config_.tank;
 
-  rs.s.v1 = 0.5 * config_.startup_kick;
-  rs.s.v2 = -0.5 * config_.startup_kick;
-  rs.s.il = 0.0;
+  rs.s[kV1] = 0.5 * config_.startup_kick;
+  rs.s[kV2] = -0.5 * config_.startup_kick;
 
   rs.result.differential.set_name("v_diff");
   rs.result.v_lc1.set_name("v_lc1");
@@ -168,7 +169,7 @@ OscillatorSystem::RunState OscillatorSystem::begin_run(double duration) {
   }
 
   rs.next_tick = fsm_.config().tick_period;
-  rs.env_last_positive = rs.s.v1 - rs.s.v2 >= 0.0;
+  rs.envelope.last_positive = rs.s[kV1] - rs.s[kV2] >= 0.0;
   return rs;
 }
 
@@ -176,22 +177,6 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
   const double dt = rs.dt;
   TankState& s = rs.s;
   SimulationResult& result = rs.result;
-
-  auto advance = [&](const TankState& base, double h, const TankState& k) {
-    return TankState{base.v1 + h * k.v1, base.v2 + h * k.v2, base.il + h * k.il,
-                     base.i1 + h * k.i1, base.i2 + h * k.i2};
-  };
-  auto rk4_step = [&](const ActiveTank& t) {
-    const TankState k1 = derivatives(s, t);
-    const TankState k2 = derivatives(advance(s, 0.5 * dt, k1), t);
-    const TankState k3 = derivatives(advance(s, 0.5 * dt, k2), t);
-    const TankState k4 = derivatives(advance(s, dt, k3), t);
-    s.v1 += dt / 6.0 * (k1.v1 + 2.0 * k2.v1 + 2.0 * k3.v1 + k4.v1);
-    s.v2 += dt / 6.0 * (k1.v2 + 2.0 * k2.v2 + 2.0 * k3.v2 + k4.v2);
-    s.il += dt / 6.0 * (k1.il + 2.0 * k2.il + 2.0 * k3.il + k4.il);
-    s.i1 += dt / 6.0 * (k1.i1 + 2.0 * k2.i1 + 2.0 * k3.i1 + k4.i1);
-    s.i2 += dt / 6.0 * (k1.i2 + 2.0 * k2.i2 + 2.0 * k3.i2 + k4.i2);
-  };
 
   while (rs.step < rs.total_steps) {
     // Pause at the loop top: exactly the position where an event
@@ -218,10 +203,10 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
         rs.active.pin1_grounded = faulted.pin1_grounded;
         rs.active.pin2_grounded = faulted.pin2_grounded;
         rs.active.pin1_to_supply = faulted.pin1_to_supply;
-        if (rs.active.loop_open) s.il = 0.0;
-        if (rs.active.pin1_grounded) s.v1 = -config_.vref_dc;
-        if (rs.active.pin1_to_supply) s.v1 = config_.vdd - config_.vref_dc;
-        if (rs.active.pin2_grounded) s.v2 = -config_.vref_dc;
+        if (rs.active.loop_open) s[kIl] = 0.0;
+        if (rs.active.pin1_grounded) s[kV1] = -config_.vref_dc;
+        if (rs.active.pin1_to_supply) s[kV1] = config_.vdd - config_.vref_dc;
+        if (rs.active.pin2_grounded) s[kV2] = -config_.vref_dc;
       } else if (std::get_if<RecoveryEvent>(&action)) {
         // Components repaired + diagnostic reset: healthy tank back,
         // detectors cleared, safe-state latch released.  Re-kick the
@@ -231,10 +216,10 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
         safety_.reset(rs.t);
         fsm_.clear_safe_state();
         driver_.set_code(fsm_.code());
-        if (std::abs(s.v1 - s.v2) < config_.startup_kick) {
-          s.v1 = 0.5 * config_.startup_kick;
-          s.v2 = -0.5 * config_.startup_kick;
-          s.il = 0.0;
+        if (std::abs(s[kV1] - s[kV2]) < config_.startup_kick) {
+          s[kV1] = 0.5 * config_.startup_kick;
+          s[kV2] = -0.5 * config_.startup_kick;
+          s[kIl] = 0.0;
         }
       } else if (const auto* te = std::get_if<TemperatureEvent>(&action)) {
         detector_.set_temperature(te->kelvin);
@@ -254,39 +239,23 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
       continue;
     }
 
-    rk4_step(rs.active);
+    rk4_step(s, dt, [&](const TankState& x) { return derivatives(x, rs.active); });
     rs.t += dt;
 
-    const double vd = s.v1 - s.v2;
-    if (!std::isfinite(vd) || !std::isfinite(s.il)) {
+    const double vd = s[kV1] - s[kV2];
+    if (!std::isfinite(vd) || !std::isfinite(s[kIl])) {
       throw ConvergenceError("tank state diverged (non-finite) at t=" +
                              std::to_string(rs.t));
     }
-    detector_.step(dt, s.v1, s.v2);
-    safety_.step(rs.t, dt, s.v1, s.v2);
-
-    // Envelope tracking.
-    const bool positive = vd >= 0.0;
-    if (positive != rs.env_last_positive) {
-      if (rs.env_have &&
-          (result.envelope.empty() || rs.env_peak_time > result.envelope.end_time())) {
-        result.envelope.append(rs.env_peak_time, rs.env_peak);
-      }
-      rs.env_peak = 0.0;
-      rs.env_have = false;
-      rs.env_last_positive = positive;
-    }
-    if (std::abs(vd) >= rs.env_peak) {
-      rs.env_peak = std::abs(vd);
-      rs.env_peak_time = rs.t;
-      rs.env_have = true;
-    }
+    detector_.step(dt, s[kV1], s[kV2]);
+    safety_.step(rs.t, dt, s[kV1], s[kV2]);
+    rs.envelope.track(result.envelope, rs.t, vd);
 
     if (rs.record &&
         rs.step % static_cast<std::size_t>(config_.waveform_decimation) == 0) {
       result.differential.append(rs.t, vd);
-      result.v_lc1.append(rs.t, s.v1);
-      result.v_lc2.append(rs.t, s.v2);
+      result.v_lc1.append(rs.t, s[kV1]);
+      result.v_lc2.append(rs.t, s[kV2]);
     }
 
     // Regulation tick every 1 ms.

@@ -7,6 +7,8 @@
 // States: v(LC1), v(LC2), i(Losc).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <variant>
@@ -20,6 +22,7 @@
 #include "safety/safety_controller.h"
 #include "tank/rlc_tank.h"
 #include "tank/tank_faults.h"
+#include "waveform/envelope_tracker.h"
 #include "waveform/trace.h"
 
 namespace lcosc::system {
@@ -134,14 +137,10 @@ class OscillatorSystem {
   [[nodiscard]] tank::RlcTank healthy_tank() const { return tank::RlcTank(config_.tank); }
 
  private:
-  struct TankState {
-    double v1 = 0.0;
-    double v2 = 0.0;
-    double il = 0.0;
-    // Driver output currents as states when driver_bandwidth > 0.
-    double i1 = 0.0;
-    double i2 = 0.0;
-  };
+  // Tank states: pin voltages, coil current and -- when driver_bandwidth
+  // > 0 -- the driver output currents.
+  using TankState = std::array<double, 5>;
+  enum : std::size_t { kV1, kV2, kIl, kI1, kI2 };
 
   // Structural view of the (possibly faulted) tank during the run.
   struct ActiveTank {
@@ -168,11 +167,7 @@ class OscillatorSystem {
     TankState s{};
     ActiveTank active{};
     bool record = false;
-    // Inline envelope tracker (per-half-cycle peak of |v_diff|).
-    double env_peak = 0.0;
-    double env_peak_time = 0.0;
-    bool env_have = false;
-    bool env_last_positive = false;
+    EnvelopeTracker envelope{};
     SimulationResult result{};
   };
 

@@ -66,9 +66,21 @@ InductanceMatrix InductanceMatrix::uniform(std::vector<double> self_inductances,
   return InductanceMatrix(std::move(self_inductances), k);
 }
 
+void InductanceMatrix::current_derivatives(std::span<const double> voltages,
+                                           std::span<double> out) const {
+  const std::size_t n = self_.size();
+  LCOSC_REQUIRE(voltages.size() == n && out.size() == n, "voltage vector size mismatch");
+  for (std::size_t r = 0; r < n; ++r) {
+    double acc = 0.0;
+    for (std::size_t c = 0; c < n; ++c) acc += l_inv_(r, c) * voltages[c];
+    out[r] = acc;
+  }
+}
+
 Vector InductanceMatrix::current_derivatives(const Vector& voltages) const {
-  LCOSC_REQUIRE(voltages.size() == self_.size(), "voltage vector size mismatch");
-  return l_inv_.multiply(voltages);
+  Vector di(self_.size());
+  current_derivatives(voltages, di);
+  return di;
 }
 
 double InductanceMatrix::stored_energy(const Vector& currents) const {

@@ -8,6 +8,7 @@
 // voltages to current derivatives each integration step in O(N^2).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "numeric/matrix.h"
@@ -28,7 +29,10 @@ class InductanceMatrix {
   [[nodiscard]] double self_inductance(std::size_t i) const { return self_[i]; }
   [[nodiscard]] double mutual(std::size_t i, std::size_t j) const { return l_(i, j); }
 
-  // di/dt for the given coil voltages.
+  // di/dt for the given coil voltages, written to `out`; both spans hold
+  // coil_count() values.  Does not allocate (the integration hot path).
+  void current_derivatives(std::span<const double> voltages, std::span<double> out) const;
+  // Allocating convenience form of the above.
   [[nodiscard]] Vector current_derivatives(const Vector& voltages) const;
 
   // Magnetic energy 1/2 i^T L i for the given coil currents.

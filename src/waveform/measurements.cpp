@@ -5,6 +5,7 @@
 
 #include "common/constants.h"
 #include "common/error.h"
+#include "waveform/envelope_tracker.h"
 
 namespace lcosc {
 
@@ -83,32 +84,14 @@ std::optional<double> estimate_frequency_tail(const Trace& trace, double tail_du
 
 Trace extract_envelope(const Trace& trace, double level) {
   Trace envelope(trace.name() + ".env");
-  double current_peak = 0.0;
-  double peak_time = 0.0;
-  bool have_sample = false;
-  bool last_above = false;
-
+  EnvelopeTracker tracker;
+  if (!trace.empty()) tracker.last_positive = trace.value(0) - level >= 0.0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const bool above = trace.value(i) >= level;
-    const double magnitude = std::abs(trace.value(i) - level);
-    if (i == 0) {
-      last_above = above;
-    }
-    if (above != last_above && have_sample) {
-      // Half cycle finished: record its peak.
-      envelope.append(peak_time, current_peak);
-      current_peak = 0.0;
-      have_sample = false;
-      last_above = above;
-    }
-    if (magnitude >= current_peak) {
-      current_peak = magnitude;
-      peak_time = trace.time(i);
-      have_sample = true;
-    }
+    tracker.track(envelope, trace.time(i), trace.value(i) - level);
   }
-  if (have_sample && (envelope.empty() || peak_time > envelope.end_time())) {
-    envelope.append(peak_time, current_peak);
+  // The trailing (possibly partial) half cycle counts too.
+  if (tracker.have && (envelope.empty() || tracker.peak_time > envelope.end_time())) {
+    envelope.append(tracker.peak_time, tracker.peak);
   }
   return envelope;
 }

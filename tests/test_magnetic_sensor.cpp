@@ -1,12 +1,31 @@
 // Physically modeled 3-coil sensor (inductance-matrix magnetics).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "common/constants.h"
 #include "common/error.h"
 #include "common/units.h"
 #include "system/magnetic_sensor.h"
+
+namespace {
+// Every global operator new in this binary is counted, so a test can
+// check that an engine's integration loop does not allocate per step.
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: GCC would otherwise see free() applied to operator new's
+// result at each call site and report a false -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lcosc::system {
 namespace {
@@ -26,6 +45,23 @@ TEST(MagneticSensor, RegulatesAndRecoversAngle) {
   const MagneticSensorResult r = sys.run(15e-3);
   EXPECT_NEAR(r.settled_amplitude, 2.7, 2.7 * 0.08);
   EXPECT_NEAR(r.angle_error, 0.0, 0.01);
+}
+
+TEST(MagneticSensor, RunAllocationsDoNotGrowWithDuration) {
+  // The RK4 step builds its coil voltages and current derivatives in
+  // fixed-size arrays, so doubling the run (256,000 more steps) adds no
+  // per-step allocations -- only one geometric regrowth of the envelope
+  // trace's time and value vectors.
+  auto allocations = [](double duration) {
+    MagneticSensorSystem sys(magnetic_config(0.7));
+    const std::size_t before = g_allocations.load();
+    (void)sys.run(duration);
+    return g_allocations.load() - before;
+  };
+  (void)allocations(1e-3);  // first run pays one-time static initialisation
+  const std::size_t one_ms = allocations(1e-3);
+  const std::size_t two_ms = allocations(2e-3);
+  EXPECT_LE(two_ms, one_ms + 2);
 }
 
 class MagneticAngles : public ::testing::TestWithParam<double> {};
